@@ -1,13 +1,17 @@
-# Verification targets; `make check` is the tier-1 gate plus vet and the
-# race-enabled telemetry/sim/cluster tests. `make verify` runs the full
-# exact-solution verification ladder and writes VERIFY.json
+# Verification targets; `make check` is the tier-1 gate plus gofmt, vet and
+# the race-enabled tests of the concurrent packages. `make verify` runs the
+# full exact-solution verification ladder and writes VERIFY.json
 # (docs/verification.md).
 
 GO ?= go
 
-.PHONY: check vet build bin test race bench bench-smoke bench-net smoke-net sim-json verify verify-short fuzz-seed chaos bench-snapshot bench-compare perf-smoke service-smoke
+.PHONY: check fmt vet build bin test race bench bench-smoke bench-net smoke-net sim-json verify verify-short fuzz-seed chaos bench-snapshot bench-compare perf-smoke service-smoke
 
-check: vet build test race
+check: fmt vet build test race
+
+# Fails when any Go file is not gofmt-formatted; `gofmt -l .` names them.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -25,8 +29,10 @@ bin:
 test:
 	$(GO) test ./...
 
+# grid and core run here because pool workers load labs concurrently from
+# shared neighbor blocks.
 race:
-	$(GO) test -race ./internal/telemetry ./internal/sim ./internal/cluster ./internal/layout ./internal/node ./internal/transport ./internal/mpi ./internal/service ./internal/compress ./internal/dump
+	$(GO) test -race ./internal/grid ./internal/core ./internal/telemetry ./internal/sim ./internal/cluster ./internal/layout ./internal/node ./internal/transport ./internal/mpi ./internal/service ./internal/compress ./internal/dump
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

@@ -132,6 +132,82 @@ func TestRHSScalarVectorAgree(t *testing.T) {
 	}
 }
 
+// roughField alternates liquid and vapor densities at random cells under a
+// uniform pressure: the WENO reconstruction of density goes negative at
+// some faces, so the positivity fallback takes part.
+func roughField(x, y, z float64) physics.Prim {
+	h := uint32(x*1e4)*73856093 ^ uint32(y*1e4)*19349663 ^ uint32(z*1e4)*83492791
+	h ^= h >> 13
+	h *= 0x5bd1e995
+	h ^= h >> 15
+	rho := 1000.0
+	if h&1 == 0 {
+		rho = 1e-2
+	}
+	return physics.Prim{Rho: rho, U: 0.1, V: -0.2, W: 0.3, P: 1e5, G: physics.Liquid.G(), Pi: physics.Liquid.P()}
+}
+
+// TestRHSFusedMatchesStagedBitwise: the micro-fused and staged scalar paths
+// share the paired reconstruction and its fallback, so they agree bit for
+// bit, on smooth data and on data that exercises the fallback.
+func TestRHSFusedMatchesStagedBitwise(t *testing.T) {
+	for name, field := range map[string]func(x, y, z float64) physics.Prim{
+		"smooth": smoothField, "rough": roughField,
+	} {
+		t.Run(name, func(t *testing.T) {
+			g := smallGrid(8, 2)
+			fillGrid(g, field)
+			bc := grid.WallBC(grid.ZLo)
+			fused := computeRHSBlocks(t, g, bc, false, false)
+			staged := computeRHSBlocks(t, g, bc, false, true)
+			for bi := range fused {
+				for i := range fused[bi] {
+					if math.Float32bits(fused[bi][i]) != math.Float32bits(staged[bi][i]) {
+						t.Fatalf("block %d elem %d: fused %g, staged %g", bi, i, fused[bi][i], staged[bi][i])
+					}
+				}
+			}
+		})
+	}
+	// The rough field must actually produce non-physical reconstructions.
+	g := smallGrid(8, 1)
+	fillGrid(g, roughField)
+	lab := grid.NewLab(8)
+	lab.Load(g, grid.DefaultBC(), g.Blocks[0])
+	zs := NewRing(8).Load(lab, 0)
+	negative := 0
+	for iy := 0; iy < 8; iy++ {
+		for ix := -1; ix <= 8; ix++ {
+			i := zs.Idx(ix, iy)
+			m, p := wenoPair(zs.R[i-2], zs.R[i-1], zs.R[i], zs.R[i+1], zs.R[i+2])
+			if m <= 0 || p <= 0 {
+				negative++
+			}
+		}
+	}
+	if negative == 0 {
+		t.Fatal("rough field never triggers the positivity fallback")
+	}
+}
+
+// TestRHSFallbackMatchesVector: the paired scalar reconstruction falls back
+// at the same faces, to the same cells, as the per-face vector kernel.
+func TestRHSFallbackMatchesVector(t *testing.T) {
+	g := smallGrid(8, 2)
+	fillGrid(g, roughField)
+	bc := grid.WallBC(grid.ZLo)
+	s := computeRHSBlocks(t, g, bc, false, false)
+	v := computeRHSBlocks(t, g, bc, true, false)
+	for bi := range s {
+		for i := range s[bi] {
+			ref := float64(s[bi][i])
+			if math.Abs(float64(v[bi][i])-ref)/math.Max(math.Abs(ref), 1) > 1e-5 {
+				t.Fatalf("block %d elem %d: qpx=%g, scalar=%g", bi, i, v[bi][i], ref)
+			}
+		}
+	}
+}
+
 // TestRHSContactPreservation checks the interface-capturing property the
 // reconstruction of Γ and Π buys (paper §3): a stationary contact
 // discontinuity in density and material functions with uniform pressure and
@@ -217,11 +293,12 @@ func TestHLLEUpwindForSupersonic(t *testing.T) {
 }
 
 func TestWENOConstantExact(t *testing.T) {
-	if got := wenoMinus(3, 3, 3, 3, 3); math.Abs(got-3) > 1e-14 {
-		t.Errorf("wenoMinus(const) = %g", got)
+	m, p := wenoPair(3, 3, 3, 3, 3)
+	if math.Abs(m-3) > 1e-14 {
+		t.Errorf("wenoPair(const) minus = %g", m)
 	}
-	if got := wenoPlus(3, 3, 3, 3, 3); math.Abs(got-3) > 1e-14 {
-		t.Errorf("wenoPlus(const) = %g", got)
+	if math.Abs(p-3) > 1e-14 {
+		t.Errorf("wenoPair(const) plus = %g", p)
 	}
 }
 
@@ -235,13 +312,14 @@ func TestWENOSmoothOrder(t *testing.T) {
 		return (math.Cos(x-h/2) - math.Cos(x+h/2)) / h
 	}
 	errAt := func(h float64) float64 {
-		// Cells i-2..i+2 centered at 0; reconstruct the value at face h/2.
+		// Cells i-2..i+2 centered at 0; reconstruct the values at the
+		// faces ±h/2.
 		var c [5]float64
 		for k := range c {
 			c[k] = avg(float64(k-2)*h, h)
 		}
-		got := wenoMinus(c[0], c[1], c[2], c[3], c[4])
-		return math.Abs(got - f(h/2))
+		m, p := wenoPair(c[0], c[1], c[2], c[3], c[4])
+		return math.Max(math.Abs(m-f(h/2)), math.Abs(p-f(-h/2)))
 	}
 	e1 := errAt(0.1)
 	e2 := errAt(0.05)
@@ -254,13 +332,13 @@ func TestWENOSmoothOrder(t *testing.T) {
 // TestWENONoOvershoot verifies the essentially non-oscillatory property at
 // a step: the reconstructed value stays within the data range.
 func TestWENONoOvershoot(t *testing.T) {
-	got := wenoMinus(0, 0, 0, 1, 1)
-	if got < -1e-8 || got > 1+1e-8 {
-		t.Errorf("reconstruction %g overshoots [0,1]", got)
-	}
-	got = wenoPlus(0, 0, 1, 1, 1)
-	if got < -1e-8 || got > 1+1e-8 {
-		t.Errorf("reconstruction %g overshoots [0,1]", got)
+	for _, s := range [][5]float64{{0, 0, 0, 1, 1}, {0, 0, 1, 1, 1}, {1, 1, 0, 0, 0}, {1, 1, 1, 0, 0}} {
+		m, p := wenoPair(s[0], s[1], s[2], s[3], s[4])
+		for _, got := range []float64{m, p} {
+			if got < -1e-8 || got > 1+1e-8 {
+				t.Errorf("reconstruction %g of %v overshoots [0,1]", got, s)
+			}
+		}
 	}
 }
 

@@ -4,11 +4,15 @@ package core
 // perf/roofline accounting that regenerates Table 3 (operational intensity,
 // naive vs reordered) and the GFLOP/s figures of Tables 5-7.
 //
-// The floating point counts are derived from the scalar kernel sources
-// (one count per arithmetic op, fused multiply-add = 2) and validated
-// against the instrumented instruction audit (audit.go, TestAuditMatches).
+// The counts model the paper's kernel (one count per arithmetic op, fused
+// multiply-add = 2): one WENO reconstruction per face state, as the QPX
+// path executes it (audit.go, TestFlopCountsConsistent). The scalar kernel
+// pairs the two reconstructions that share a stencil (wenoPair) and
+// executes fewer operations than counted here, so its GFLOP/s against this
+// model is nominal; grind time (ns per cell) is the metric to compare it by.
 
-// WENOFlops is the arithmetic of one wenoMinus/wenoPlus evaluation.
+// WENOFlops is the arithmetic of one textbook WENO5 reconstruction (one
+// face state of one quantity, normalized with four divisions).
 const WENOFlops = 69
 
 // HLLEFlops is the arithmetic of one hlleFace evaluation (7 flux
@@ -26,8 +30,8 @@ const SumFlopsPerCell = 54
 // BackFlopsPerCell is the BACK-stage arithmetic per cell (scale by 1/h).
 const BackFlopsPerCell = 7
 
-// faceFlops is the per-face arithmetic: 14 WENO reconstructions
-// (7 quantities x minus/plus) and one HLLE flux.
+// faceFlops is the per-face arithmetic of the model: 14 WENO
+// reconstructions (7 quantities x minus/plus) and one HLLE flux.
 const faceFlops = 14*WENOFlops + HLLEFlops
 
 // RHSFlopsPerCell returns the total RHS arithmetic per cell for blocks of

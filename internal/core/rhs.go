@@ -35,6 +35,9 @@ type RHS struct {
 	// Per-row reconstructed face states for the staged path: 7 quantities,
 	// minus and plus side.
 	stM, stP [nq][]float64
+	// zM carries the minus states of the next z-face (7 quantities, N²
+	// each) from one computeZFace to the next.
+	zM [nq][]float64
 }
 
 // fluxPlane holds HLLE outputs in SoA layout: the seven fluxes in sweep
@@ -71,6 +74,7 @@ func NewRHS(n int) *RHS {
 		r.acc[q] = make([]float64, n*n*n)
 		r.stM[q] = make([]float64, (n+1+3)&^3)
 		r.stP[q] = make([]float64, (n+1+3)&^3)
+		r.zM[q] = make([]float64, n*n)
 	}
 	return r
 }
@@ -114,6 +118,7 @@ func (r *RHS) sweep(lab *grid.Lab) {
 	for z := -sw; z <= sw-1; z++ {
 		r.ring.Load(lab, z)
 	}
+	r.bootstrapZ()
 	r.computeZFace(0, r.zPrev)
 
 	for z := 0; z < n; z++ {
@@ -157,31 +162,30 @@ func (r *RHS) backFused(h float64, u, reg []float32, ca, cb, dt float64) {
 	}
 }
 
-// reconstructFace fills the minus and plus states at face f of a sweep with
-// stride st: stencil cell k sits at offset o + (f+k)*st.
+// reconstructCell reconstructs the two face states of the cell at slice
+// offset i of a sweep with stride st: m at its high face, p at its low face
+// (wenoPair on every quantity).
 //
 // Positivity safeguard: when the high-order reconstruction produces a
 // non-physical state (negative density or a pressure below the stiffened
 // vacuum, (Γ+1)p + Π <= 0, where the sound speed would be imaginary) the
 // face falls back to the adjacent cell average — a local first-order
 // reconstruction, the standard remedy for under-resolved violent collapses.
-func reconstructFace(zs *ZSlice, o, f, st int, un, ut1, ut2 []float64) (m, p faceState) {
-	i := o + f*st
-	rm := func(a []float64) float64 {
-		return wenoMinus(a[i-3*st], a[i-2*st], a[i-st], a[i], a[i+st])
-	}
-	rp := func(a []float64) float64 {
-		return wenoPlus(a[i-2*st], a[i-st], a[i], a[i+st], a[i+2*st])
-	}
-	m = faceState{r: rm(zs.R), un: rm(un), ut1: rm(ut1), ut2: rm(ut2), p: rm(zs.P), g: rm(zs.G), pi: rm(zs.Pi)}
-	p = faceState{r: rp(zs.R), un: rp(un), ut1: rp(ut1), ut2: rp(ut2), p: rp(zs.P), g: rp(zs.G), pi: rp(zs.Pi)}
+// Both states are adjacent to cell i itself, so both fall back to it.
+func reconstructCell(zs *ZSlice, i, st int, un, ut1, ut2 []float64) (m, p faceState) {
+	a, b, c, d := i-2*st, i-st, i+st, i+2*st
+	m.r, p.r = wenoPair(zs.R[a], zs.R[b], zs.R[i], zs.R[c], zs.R[d])
+	m.un, p.un = wenoPair(un[a], un[b], un[i], un[c], un[d])
+	m.ut1, p.ut1 = wenoPair(ut1[a], ut1[b], ut1[i], ut1[c], ut1[d])
+	m.ut2, p.ut2 = wenoPair(ut2[a], ut2[b], ut2[i], ut2[c], ut2[d])
+	m.p, p.p = wenoPair(zs.P[a], zs.P[b], zs.P[i], zs.P[c], zs.P[d])
+	m.g, p.g = wenoPair(zs.G[a], zs.G[b], zs.G[i], zs.G[c], zs.G[d])
+	m.pi, p.pi = wenoPair(zs.Pi[a], zs.Pi[b], zs.Pi[i], zs.Pi[c], zs.Pi[d])
 	if !physical(m) {
-		c := i - st // cell left of the face
-		m = faceState{r: zs.R[c], un: un[c], ut1: ut1[c], ut2: ut2[c], p: zs.P[c], g: zs.G[c], pi: zs.Pi[c]}
+		m = faceState{r: zs.R[i], un: un[i], ut1: ut1[i], ut2: ut2[i], p: zs.P[i], g: zs.G[i], pi: zs.Pi[i]}
 	}
 	if !physical(p) {
-		c := i // cell right of the face
-		p = faceState{r: zs.R[c], un: un[c], ut1: ut1[c], ut2: ut2[c], p: zs.P[c], g: zs.G[c], pi: zs.Pi[c]}
+		p = faceState{r: zs.R[i], un: un[i], ut1: ut1[i], ut2: ut2[i], p: zs.P[i], g: zs.G[i], pi: zs.Pi[i]}
 	}
 	return
 }
@@ -194,14 +198,22 @@ func physical(s faceState) bool {
 
 // lineSweep evaluates all face fluxes of one pencil of n cells (n+1 faces)
 // into r.row. o is the slice offset of cell 0 and st the stencil stride.
+//
+// The sweep walks cells -1..n: cell i yields the minus state of face i+1
+// and the plus state of face i, so face f pairs the minus state carried
+// from cell f-1 with the plus state of cell f.
 func (r *RHS) lineSweep(zs *ZSlice, o, st int, un, ut1, ut2 []float64) {
 	n := r.N
 	if r.Staged {
 		// WENO stage: materialize all reconstructed face states.
-		for f := 0; f <= n; f++ {
-			m, p := reconstructFace(zs, o, f, st, un, ut1, ut2)
-			storeState(&r.stM, f, m)
-			storeState(&r.stP, f, p)
+		for c := -1; c <= n; c++ {
+			m, p := reconstructCell(zs, o+c*st, st, un, ut1, ut2)
+			if c < n {
+				storeState(&r.stM, c+1, m)
+			}
+			if c >= 0 {
+				storeState(&r.stP, c, p)
+			}
 		}
 		// HLLE stage.
 		for f := 0; f <= n; f++ {
@@ -210,9 +222,11 @@ func (r *RHS) lineSweep(zs *ZSlice, o, st int, un, ut1, ut2 []float64) {
 		return
 	}
 	// Micro-fused path: reconstruction and flux per face in one pass.
+	m, _ := reconstructCell(zs, o-st, st, un, ut1, ut2)
 	for f := 0; f <= n; f++ {
-		m, p := reconstructFace(zs, o, f, st, un, ut1, ut2)
+		next, p := reconstructCell(zs, o+f*st, st, un, ut1, ut2)
 		r.row.store(f, hlleFace(m, p))
+		m = next
 	}
 }
 
@@ -285,46 +299,63 @@ func (r *RHS) ySweep(z int) {
 	}
 }
 
-// computeZFace fills dst with the HLLE fluxes across z-face f (between
-// layers f-1 and f), reconstructing across the ring slices.
-func (r *RHS) computeZFace(f int, dst *fluxPlane) {
-	n := r.N
-	var s [6]*ZSlice
-	for k := range s {
-		s[k] = r.ring.At(f - 3 + k)
+// zPair reconstructs the two z-face states of cell i of layer z (slices
+// s[0..4] hold layers z-2..z+2): m at face z+1, p at face z, with the
+// positivity fallback of reconstructCell.
+func zPair(s *[5]*ZSlice, i int) (m, p faceState) {
+	m.r, p.r = wenoPair(s[0].R[i], s[1].R[i], s[2].R[i], s[3].R[i], s[4].R[i])
+	m.un, p.un = wenoPair(s[0].W[i], s[1].W[i], s[2].W[i], s[3].W[i], s[4].W[i])
+	m.ut1, p.ut1 = wenoPair(s[0].U[i], s[1].U[i], s[2].U[i], s[3].U[i], s[4].U[i])
+	m.ut2, p.ut2 = wenoPair(s[0].V[i], s[1].V[i], s[2].V[i], s[3].V[i], s[4].V[i])
+	m.p, p.p = wenoPair(s[0].P[i], s[1].P[i], s[2].P[i], s[3].P[i], s[4].P[i])
+	m.g, p.g = wenoPair(s[0].G[i], s[1].G[i], s[2].G[i], s[3].G[i], s[4].G[i])
+	m.pi, p.pi = wenoPair(s[0].Pi[i], s[1].Pi[i], s[2].Pi[i], s[3].Pi[i], s[4].Pi[i])
+	c := s[2]
+	if !physical(m) {
+		m = faceState{r: c.R[i], un: c.W[i], ut1: c.U[i], ut2: c.V[i], p: c.P[i], g: c.G[i], pi: c.Pi[i]}
 	}
+	if !physical(p) {
+		p = faceState{r: c.R[i], un: c.W[i], ut1: c.U[i], ut2: c.V[i], p: c.P[i], g: c.G[i], pi: c.Pi[i]}
+	}
+	return
+}
+
+// zSlices returns the ring slices of layers z-2..z+2.
+func (r *RHS) zSlices(z int) (s [5]*ZSlice) {
+	for k := range s {
+		s[k] = r.ring.At(z - 2 + k)
+	}
+	return s
+}
+
+// bootstrapZ fills the carried minus plane r.zM with the states at z-face 0
+// reconstructed from layer -1.
+func (r *RHS) bootstrapZ() {
+	n := r.N
+	s := r.zSlices(-1)
 	for iy := 0; iy < n; iy++ {
 		o := s[0].Idx(0, iy)
 		for ix := 0; ix < n; ix++ {
-			i := o + ix
-			m := faceState{
-				r:   wenoMinus(s[0].R[i], s[1].R[i], s[2].R[i], s[3].R[i], s[4].R[i]),
-				un:  wenoMinus(s[0].W[i], s[1].W[i], s[2].W[i], s[3].W[i], s[4].W[i]),
-				ut1: wenoMinus(s[0].U[i], s[1].U[i], s[2].U[i], s[3].U[i], s[4].U[i]),
-				ut2: wenoMinus(s[0].V[i], s[1].V[i], s[2].V[i], s[3].V[i], s[4].V[i]),
-				p:   wenoMinus(s[0].P[i], s[1].P[i], s[2].P[i], s[3].P[i], s[4].P[i]),
-				g:   wenoMinus(s[0].G[i], s[1].G[i], s[2].G[i], s[3].G[i], s[4].G[i]),
-				pi:  wenoMinus(s[0].Pi[i], s[1].Pi[i], s[2].Pi[i], s[3].Pi[i], s[4].Pi[i]),
-			}
-			p := faceState{
-				r:   wenoPlus(s[1].R[i], s[2].R[i], s[3].R[i], s[4].R[i], s[5].R[i]),
-				un:  wenoPlus(s[1].W[i], s[2].W[i], s[3].W[i], s[4].W[i], s[5].W[i]),
-				ut1: wenoPlus(s[1].U[i], s[2].U[i], s[3].U[i], s[4].U[i], s[5].U[i]),
-				ut2: wenoPlus(s[1].V[i], s[2].V[i], s[3].V[i], s[4].V[i], s[5].V[i]),
-				p:   wenoPlus(s[1].P[i], s[2].P[i], s[3].P[i], s[4].P[i], s[5].P[i]),
-				g:   wenoPlus(s[1].G[i], s[2].G[i], s[3].G[i], s[4].G[i], s[5].G[i]),
-				pi:  wenoPlus(s[1].Pi[i], s[2].Pi[i], s[3].Pi[i], s[4].Pi[i], s[5].Pi[i]),
-			}
-			if !physical(m) {
-				m = faceState{r: s[2].R[i], un: s[2].W[i], ut1: s[2].U[i], ut2: s[2].V[i], p: s[2].P[i], g: s[2].G[i], pi: s[2].Pi[i]}
-			}
-			if !physical(p) {
-				p = faceState{r: s[3].R[i], un: s[3].W[i], ut1: s[3].U[i], ut2: s[3].V[i], p: s[3].P[i], g: s[3].G[i], pi: s[3].Pi[i]}
-			}
-			ff := hlleFace(m, p)
+			m, _ := zPair(&s, o+ix)
+			storeState(&r.zM, iy*n+ix, m)
+		}
+	}
+}
+
+// computeZFace fills dst with the HLLE fluxes across z-face f (between
+// layers f-1 and f). The minus states come from r.zM, carried from layer
+// f-1; layer f's reconstruction supplies the plus states and replaces them
+// with the minus states of face f+1.
+func (r *RHS) computeZFace(f int, dst *fluxPlane) {
+	n := r.N
+	s := r.zSlices(f)
+	for iy := 0; iy < n; iy++ {
+		o := s[0].Idx(0, iy)
+		for ix := 0; ix < n; ix++ {
 			j := iy*n + ix
-			dst.fr[j], dst.fun[j], dst.fut1[j], dst.fut2[j] = ff.fr, ff.fun, ff.fut1, ff.fut2
-			dst.fe[j], dst.fg[j], dst.fpi[j], dst.ustar[j] = ff.fe, ff.fg, ff.fpi, ff.ustar
+			next, p := zPair(&s, o+ix)
+			dst.store(j, hlleFace(loadState(&r.zM, j), p))
+			storeState(&r.zM, j, next)
 		}
 	}
 }

@@ -56,8 +56,8 @@ func TestCompareCloudZeroObservableIsExact(t *testing.T) {
 
 func TestCompareCloudRatesAreGenerous(t *testing.T) {
 	fresh := cloudBaseline()
-	fresh.PointsPerSec *= 0.6          // above the 0.4 floor
-	fresh.StepLatency.MeanMS *= 2.0    // below the 2.5 ceiling
+	fresh.PointsPerSec *= 0.6       // above the 0.4 floor
+	fresh.StepLatency.MeanMS *= 2.0 // below the 2.5 ceiling
 	r := CompareBenchCloud(cloudBaseline(), fresh, DefaultThresholds(1))
 	if !r.OK() {
 		t.Fatalf("machine noise failed the gate: %v", r.Regressions)

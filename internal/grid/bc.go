@@ -1,6 +1,6 @@
 package grid
 
-import "cubism/internal/physics"
+import "fmt"
 
 // BCKind selects the physical boundary condition applied to a domain face.
 type BCKind int
@@ -41,51 +41,35 @@ func PeriodicBC() BC {
 	return BC{Periodic, Periodic, Periodic, Periodic, Periodic, Periodic}
 }
 
-// ghost resolves quantity q of cell (ix,iy,iz) where exactly one coordinate
-// lies outside the global domain [0,CellsX) x [0,CellsY) x [0,CellsZ)
-// through the physical boundary condition of the crossed face. Inter-rank
-// ghosts never reach here: the Lab resolves owned neighbors directly and
-// remote ones through the per-block halo slabs. The periodic branch reads
-// through g.Cell and therefore requires the wrapped cell to be owned — the
-// Lab routes periodic wraps through the block topology instead, so on
-// partial grids this branch is never taken.
-func (g *Grid) ghost(bc BC, ix, iy, iz, q int) float32 {
-	f, _ := g.outFace(ix, iy, iz)
-	switch bc[f] {
-	case Periodic:
-		nx, ny, nz := g.CellsX(), g.CellsY(), g.CellsZ()
-		return g.Cell((ix+nx)%nx, (iy+ny)%ny, (iz+nz)%nz, q)
-	case Reflecting:
-		mx, my, mz := mirror(ix, g.CellsX()), mirror(iy, g.CellsY()), mirror(iz, g.CellsZ())
-		v := g.Cell(mx, my, mz, q)
-		// Flip the momentum component normal to the face.
-		if q == physics.QU+f.Axis() {
-			v = -v
+// faceSource resolves, once per face, where the Lab reads the ghosts
+// beyond face f of block b. Both results are nil when f lies on a
+// non-periodic domain face: the boundary condition bc[f] then fills the
+// slab from b itself. Otherwise the neighbor across f (wrapped on a periodic
+// axis) is returned when this grid owns it, else b's installed halo slab for
+// f. A missing slab panics — a missing halo is a cluster-layer bug, never
+// silently absorbed.
+func (g *Grid) faceSource(bc BC, b *Block, f Face) (nb *Block, halo []float32) {
+	a := f.Axis()
+	c := [3]int{b.X, b.Y, b.Z}
+	dim := [3]int{g.NBX, g.NBY, g.NBZ}[a]
+	if f.IsHigh() {
+		c[a]++
+	} else {
+		c[a]--
+	}
+	if c[a] < 0 || c[a] >= dim {
+		if bc[f] != Periodic {
+			return nil, nil
 		}
-		return v
-	default: // Absorbing: clamp to the nearest interior cell.
-		cx, cy, cz := clamp(ix, g.CellsX()), clamp(iy, g.CellsY()), clamp(iz, g.CellsZ())
-		return g.Cell(cx, cy, cz, q)
+		c[a] = (c[a] + dim) % dim
 	}
-}
-
-// outFace identifies which domain face the out-of-range coordinate crosses
-// and how deep beyond it the cell lies (1-based).
-func (g *Grid) outFace(ix, iy, iz int) (Face, int) {
-	switch {
-	case ix < 0:
-		return XLo, -ix
-	case ix >= g.CellsX():
-		return XHi, ix - g.CellsX() + 1
-	case iy < 0:
-		return YLo, -iy
-	case iy >= g.CellsY():
-		return YHi, iy - g.CellsY() + 1
-	case iz < 0:
-		return ZLo, -iz
-	default:
-		return ZHi, iz - g.CellsZ() + 1
+	if nb := g.byPos[c]; nb != nil {
+		return nb, nil
 	}
+	if b.halos[f] == nil {
+		panic(fmt.Sprintf("grid: block (%d,%d,%d) read face %v ghost with no halo installed", b.X, b.Y, b.Z, f))
+	}
+	return nil, b.halos[f]
 }
 
 // mirror reflects an out-of-range coordinate about the domain face:

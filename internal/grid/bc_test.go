@@ -28,7 +28,8 @@ func ghostCoord(f Face, d, u, v, n int) (ix, iy, iz int) {
 }
 
 // expectedGhost reimplements the boundary-condition semantics independently
-// of grid.ghost, as the oracle for the table tests below: periodic wraps,
+// of the reference resolver ghost (lab_oracle_test.go), as the oracle for
+// the table tests below: periodic wraps,
 // absorbing clamps, reflecting mirrors about the face and flips the
 // momentum component normal to it.
 func expectedGhost(kind BCKind, f Face, ix, iy, iz, q, n int) float32 {
@@ -101,9 +102,10 @@ func TestGhostFaceTable(t *testing.T) {
 	}
 }
 
-// TestGhostFullSweep checks grid.ghost directly over every ghost cell of
-// every face (all depths, the entire tangent plane, all quantities) for
-// each BC kind — the exhaustive version of the table above.
+// TestGhostFullSweep checks the reference resolver ghost, which the Lab
+// oracle test trusts, directly over every ghost cell of every face (all
+// depths, the entire tangent plane, all quantities) for each BC kind — the
+// exhaustive version of the table above.
 func TestGhostFullSweep(t *testing.T) {
 	const n = 8
 	g := New(Desc{N: n, NBX: 1, NBY: 1, NBZ: 1, H: 1.0 / n})

@@ -82,6 +82,12 @@ func (b *Block) At(ix, iy, iz int) []float32 {
 	return b.Data[off : off+NQ : off+NQ]
 }
 
+// row returns the contiguous AoS run of cells (ix..ix+cnt-1, iy, iz).
+func (b *Block) row(ix, iy, iz, cnt int) []float32 {
+	off := ((iz*b.N+iy)*b.N + ix) * NQ
+	return b.Data[off : off+cnt*NQ : off+cnt*NQ]
+}
+
 // Get returns quantity q of cell (ix,iy,iz).
 func (b *Block) Get(ix, iy, iz, q int) float32 {
 	return b.Data[((iz*b.N+iy)*b.N+ix)*NQ+q]
@@ -301,12 +307,11 @@ func (b *Block) PackFace(f Face, dst []float32) []float32 {
 	return dst
 }
 
-// haloCell returns the NQ quantities of ghost cell (ix,iy,iz) in block-local
-// stencil coordinates (exactly one coordinate outside [0,N)) from the
-// installed slab of the crossed face. It panics when no slab is installed —
-// a missing halo is a cluster-layer bug, never silently absorbed.
-func (b *Block) haloCell(f Face, ix, iy, iz int) []float32 {
-	n := b.N
+// haloOffset returns the offset of ghost cell (ix,iy,iz) in block-local
+// stencil coordinates (exactly one coordinate outside [0,N), beyond face f)
+// within the face's halo slab, laid out as SetHalo documents. Along x the
+// cells of a y or z slab are contiguous.
+func haloOffset(f Face, n, ix, iy, iz int) int {
 	var d, u, v int
 	switch f {
 	case XLo:
@@ -322,9 +327,5 @@ func (b *Block) haloCell(f Face, ix, iy, iz int) []float32 {
 	case ZHi:
 		d, u, v = iz-n, ix, iy
 	}
-	if b.halos[f] == nil {
-		panic(fmt.Sprintf("grid: block (%d,%d,%d) read face %v ghost with no halo installed", b.X, b.Y, b.Z, f))
-	}
-	off := ((d*n+v)*n + u) * NQ
-	return b.halos[f][off : off+NQ : off+NQ]
+	return ((d*n+v)*n + u) * NQ
 }

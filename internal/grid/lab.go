@@ -1,5 +1,7 @@
 package grid
 
+import "cubism/internal/physics"
+
 // Lab is the per-worker scratch structure that assembles one block together
 // with its ghost cells before a stencil evaluation (the paper's node layer:
 // "the assigned thread loads the block data and ghosts into a per-thread
@@ -46,64 +48,69 @@ func (l *Lab) Row(x0, iy, iz, n int) []float32 {
 }
 
 // Load assembles block b of grid g with its ghosts under boundary
-// conditions bc. Interior data is row-copied. Each ghost cell resolves, in
-// order: a periodic wrap of the global coordinate (the topology, not the
-// BC fallback — so a wrapped neighbor behaves exactly like an interior
-// one), then a reflecting/absorbing boundary condition when the cell lies
-// beyond a non-periodic domain face (mirror and clamp always land back in
-// b itself), then a locally owned block (direct copy), and finally the
-// per-block halo slab installed by the cluster layer for neighbors owned
-// by another rank.
+// conditions bc. Interior data is row-copied. Each of the six face slabs
+// reads all its ghosts from one source, resolved once per face (faceSource)
+// and then copied whole cells at a time: a reflecting/absorbing boundary
+// condition when the face lies on a non-periodic domain face (mirror and
+// clamp land back in b itself), else the neighbor block across the face —
+// periodic wraps included, so a wrapped neighbor behaves exactly like an
+// interior one — when it is locally owned, and finally the per-block halo
+// slab installed by the cluster layer for neighbors owned by another rank.
 func (l *Lab) Load(g *Grid, bc BC, b *Block) {
 	if b.N != l.N {
 		panic("grid: lab/block size mismatch")
 	}
-	n, sw := l.N, StencilWidth
-	// Base box-global cell coordinates of the block.
-	gx, gy, gz := b.X*n, b.Y*n, b.Z*n
-	cx, cy, cz := g.CellsX(), g.CellsY(), g.CellsZ()
+	n := l.N
 
 	// Interior: straight row copies.
 	for iz := 0; iz < n; iz++ {
 		for iy := 0; iy < n; iy++ {
-			src := b.Data[((iz*n+iy)*n)*NQ : ((iz*n+iy)*n+n)*NQ]
-			dst := l.Row(0, iy, iz, n)
-			copy(dst, src)
+			copy(l.Row(0, iy, iz, n), b.row(0, iy, iz, n))
 		}
 	}
+	for f := XLo; f <= ZHi; f++ {
+		l.loadFace(g, bc, b, f)
+	}
+}
 
-	// Face slabs of the cross region: exactly one of (ix,iy,iz) lies
-	// outside [0,n), so exactly one global coordinate can leave the domain
-	// — and it crosses the same face f the block-local coordinate does.
-	fill := func(f Face, x0, x1, y0, y1, z0, z1 int) {
-		for iz := z0; iz < z1; iz++ {
-			for iy := y0; iy < y1; iy++ {
-				for ix := x0; ix < x1; ix++ {
-					dst := l.At(ix, iy, iz)
-					jx, jy, jz := gx+ix, gy+iy, gz+iz
-					if jx < 0 || jx >= cx || jy < 0 || jy >= cy || jz < 0 || jz >= cz {
-						if bc[f] != Periodic {
-							// Mirror/clamp read cells of b itself.
-							for q := 0; q < NQ; q++ {
-								dst[q] = g.ghost(bc, jx, jy, jz, q)
-							}
-							continue
-						}
-						jx, jy, jz = (jx+cx)%cx, (jy+cy)%cy, (jz+cz)%cz
+// loadFace fills the face slab f of the cross region: StencilWidth layers
+// beyond face f over the block's N x N tangent plane. Exactly one
+// block-local coordinate lies outside [0,N), the one along f's axis.
+// Copies run along x: whole rows of N cells for the y and z faces, single
+// cells for the x faces (whose x extent is the stencil depth).
+func (l *Lab) loadFace(g *Grid, bc BC, b *Block, f Face) {
+	n, sw := l.N, StencilWidth
+	a := f.Axis()
+	lo, hi := [3]int{0, 0, 0}, [3]int{n, n, n}
+	if f.IsHigh() {
+		lo[a], hi[a] = n, n+sw
+	} else {
+		lo[a], hi[a] = -sw, 0
+	}
+	run := n
+	if a == 0 {
+		run = 1
+	}
+	nb, halo := g.faceSource(bc, b, f)
+	flip := physics.QU + a // normal momentum, negated by a reflecting wall
+	for iz := lo[2]; iz < hi[2]; iz++ {
+		for iy := lo[1]; iy < hi[1]; iy++ {
+			for ix := lo[0]; ix < hi[0]; ix += run {
+				dst := l.Row(ix, iy, iz, run)
+				switch {
+				case nb != nil:
+					copy(dst, nb.row((ix+n)%n, (iy+n)%n, (iz+n)%n, run))
+				case halo != nil:
+					copy(dst, halo[haloOffset(f, n, ix, iy, iz):])
+				case bc[f] == Reflecting:
+					copy(dst, b.row(mirror(ix, n), mirror(iy, n), mirror(iz, n), run))
+					for i := flip; i < len(dst); i += NQ {
+						dst[i] = -dst[i]
 					}
-					if nb := g.byPos[[3]int{jx / n, jy / n, jz / n}]; nb != nil {
-						copy(dst, nb.At(jx%n, jy%n, jz%n))
-					} else {
-						copy(dst, b.haloCell(f, ix, iy, iz))
-					}
+				default: // Absorbing: the nearest interior cell.
+					copy(dst, b.row(clamp(ix, n), clamp(iy, n), clamp(iz, n), run))
 				}
 			}
 		}
 	}
-	fill(XLo, -sw, 0, 0, n, 0, n)  // x-
-	fill(XHi, n, n+sw, 0, n, 0, n) // x+
-	fill(YLo, 0, n, -sw, 0, 0, n)  // y-
-	fill(YHi, 0, n, n, n+sw, 0, n) // y+
-	fill(ZLo, 0, n, 0, n, -sw, 0)  // z-
-	fill(ZHi, 0, n, 0, n, n, n+sw) // z+
 }

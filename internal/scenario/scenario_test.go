@@ -190,8 +190,8 @@ func TestObserverMetrics(t *testing.T) {
 	}
 	m := obs.Metrics()
 	want := map[string]float64{
-		"peak_amp":      2.5,        // 250 / 100
-		"wall_amp":      1.8,        // 180 / 100
+		"peak_amp":      2.5, // 250 / 100
+		"wall_amp":      1.8, // 180 / 100
 		"ke_peak":       7,
 		"min_ratio":     0.8,        // 0.4 / 0.5
 		"final_ratio":   0.9,        // 0.45 / 0.5

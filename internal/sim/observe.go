@@ -69,9 +69,9 @@ type observer struct {
 	agg *telemetry.Aggregator // rank 0 only
 	est []telemetry.ClockEstimator
 
-	prevKernel           map[string]time.Duration
-	prevGhost, prevWait  time.Duration
-	sinceWrite, flushed  int
+	prevKernel          map[string]time.Duration
+	prevGhost, prevWait time.Duration
+	sinceWrite, flushed int
 }
 
 func newObserver(cfg ObserveConfig, comm *mpi.Comm, tracer *telemetry.Tracer,

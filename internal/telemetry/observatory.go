@@ -245,11 +245,11 @@ type StepImbalance struct {
 // paper's Table 4: per-phase max/avg-1 percentages per step and aggregated
 // over the run, with straggler attribution.
 type ImbalanceReport struct {
-	Ranks          int    `json:"ranks"`
-	StepsObserved  int    `json:"steps_observed"`
-	MissingBatches int    `json:"missing_batches"`
-	FirstStep      int    `json:"first_step"`
-	LastStep       int    `json:"last_step"`
+	Ranks          int `json:"ranks"`
+	StepsObserved  int `json:"steps_observed"`
+	MissingBatches int `json:"missing_batches"`
+	FirstStep      int `json:"first_step"`
+	LastStep       int `json:"last_step"`
 	// Run aggregates each phase's per-rank cumulative time over the whole
 	// observed window.
 	Run map[string]PhaseStat `json:"run"`
@@ -258,10 +258,10 @@ type ImbalanceReport struct {
 	// Straggler is the rank with the largest cumulative step wall time;
 	// StragglerWait names its dominant wait phase and the per-step average
 	// milliseconds it spent there.
-	Straggler           int     `json:"straggler"`
-	StragglerExcessPct  float64 `json:"straggler_excess_pct"` // its wall time over the rank average, percent
-	StragglerWait       string  `json:"straggler_wait,omitempty"`
-	StragglerWaitAvgMS  float64 `json:"straggler_wait_avg_ms,omitempty"`
+	Straggler          int     `json:"straggler"`
+	StragglerExcessPct float64 `json:"straggler_excess_pct"` // its wall time over the rank average, percent
+	StragglerWait      string  `json:"straggler_wait,omitempty"`
+	StragglerWaitAvgMS float64 `json:"straggler_wait_avg_ms,omitempty"`
 	// Counters is the last counter snapshot per rank (distributed runs).
 	Counters map[int]map[string]float64 `json:"counters,omitempty"`
 }
