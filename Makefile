@@ -30,9 +30,10 @@ test:
 	$(GO) test ./...
 
 # grid and core run here because pool workers load labs concurrently from
-# shared neighbor blocks.
+# shared neighbor blocks; checkpoint because its blocks deflate and inflate
+# on pool workers.
 race:
-	$(GO) test -race ./internal/grid ./internal/core ./internal/telemetry ./internal/sim ./internal/cluster ./internal/layout ./internal/node ./internal/transport ./internal/mpi ./internal/service ./internal/compress ./internal/dump
+	$(GO) test -race ./internal/grid ./internal/core ./internal/telemetry ./internal/sim ./internal/cluster ./internal/layout ./internal/node ./internal/transport ./internal/mpi ./internal/service ./internal/compress ./internal/dump ./internal/checkpoint
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

@@ -103,7 +103,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	world := mpi.NewWorld(1)
 	world.Run(func(comm *mpi.Comm) {
 		g := grid.New(grid.Desc{N: 8, NBX: 1, NBY: 1, NBZ: 1, H: 0.125})
-		if err := checkpoint.Write(comm, path, g, [3]int{1, 1, 1}, 17, 3.5e-4); err != nil {
+		if err := checkpoint.Write(comm, path, g, [3]int{1, 1, 1}, 17, 3.5e-4, nil); err != nil {
 			t.Error(err)
 		}
 	})
@@ -120,8 +120,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 // 2-rank run must restore into a Hilbert-partitioned 4-rank run — different
 // layout AND different rank count — and continue bitwise identically to the
 // uninterrupted writer. The checkpoint is addressed by global block id, so
-// each reading rank pulls its blocks out of whichever writer payloads hold
-// them.
+// each reading rank inflates its blocks' segments out of whichever writer
+// payloads hold them, on its two-worker pool.
 func TestRestoreIntoDifferentLayout(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "relayout.ckp")
@@ -130,7 +130,7 @@ func TestRestoreIntoDifferentLayout(t *testing.T) {
 		BlockDims: [3]int{2, 2, 2}, // global box 4x2x2
 		BlockSize: 8,
 		Extent:    1,
-		Workers:   1,
+		Workers:   2,
 		CFL:       0.3,
 		Init:      sodInit,
 	}
@@ -174,6 +174,9 @@ func TestRestoreIntoDifferentLayout(t *testing.T) {
 	})
 	for _, p := range parts {
 		merge(want, p)
+	}
+	if hdr, err := checkpoint.ReadHeader(path); err != nil || hdr.Version != 3 {
+		t.Fatalf("checkpoint header: version %d, %v; want version 3", hdr.Version, err)
 	}
 
 	got := make(map[int64][]float32)
@@ -220,12 +223,12 @@ func TestRestoreGeometryMismatch(t *testing.T) {
 	world := mpi.NewWorld(1)
 	world.Run(func(comm *mpi.Comm) {
 		g := grid.New(grid.Desc{N: 8, NBX: 1, NBY: 1, NBZ: 1, H: 0.125})
-		if err := checkpoint.Write(comm, path, g, [3]int{1, 1, 1}, 0, 0); err != nil {
+		if err := checkpoint.Write(comm, path, g, [3]int{1, 1, 1}, 0, 0, nil); err != nil {
 			t.Error(err)
 		}
 	})
 	other := grid.New(grid.Desc{N: 8, NBX: 2, NBY: 1, NBZ: 1, H: 0.125})
-	if _, _, err := checkpoint.Restore(path, 0, other); err == nil {
+	if _, _, err := checkpoint.Restore(path, 0, other, nil); err == nil {
 		t.Error("expected geometry mismatch error")
 	}
 }
@@ -290,7 +293,7 @@ func TestRestoreV1File(t *testing.T) {
 	}
 
 	g := grid.New(grid.Desc{N: n, NBX: 2, NBY: 1, NBZ: 1, H: 0.125})
-	step, simTime, err := checkpoint.Restore(path, 0, g)
+	step, simTime, err := checkpoint.Restore(path, 0, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

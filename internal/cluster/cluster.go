@@ -657,19 +657,21 @@ func (r *Rank) ComputeRHSOnly() {
 }
 
 // SaveCheckpoint writes the full conserved state collectively (lossless;
-// see internal/checkpoint). All ranks must call it.
+// see internal/checkpoint), deflating the blocks on the rank's worker
+// pool. All ranks must call it.
 func (r *Rank) SaveCheckpoint(path string) error {
 	sp := r.tr.StartSpan("checkpoint", r.rankID, 0)
 	defer sp.End()
-	return checkpoint.Write(r.Comm, path, r.G, r.Cfg.RankDims, r.Step, r.Time)
+	return checkpoint.Write(r.Comm, path, r.G, r.Cfg.RankDims, r.Step, r.Time, r.Engine.Parallel)
 }
 
 // RestoreCheckpoint replaces the rank state with the checkpoint contents.
 // The checkpoint's block size and global geometry must match; the layout
 // and rank count may differ from the writing run — each rank pulls exactly
-// the blocks it owns out of the file (see checkpoint.Restore).
+// the blocks it owns out of the file and inflates them on its worker pool
+// (see checkpoint.Restore).
 func (r *Rank) RestoreCheckpoint(path string) error {
-	step, simTime, err := checkpoint.Restore(path, r.Comm.Rank(), r.G)
+	step, simTime, err := checkpoint.Restore(path, r.Comm.Rank(), r.G, r.Engine.Parallel)
 	if err != nil {
 		return err
 	}

@@ -77,12 +77,15 @@ func (p *pool) worker(w int) {
 			return
 		}
 		p.queued.Add(-1)
+		// Counted before exec: the stage's last task releases the caller
+		// from inside exec, and a PoolStats read right after the stage
+		// must include every one of its tasks.
+		p.tasksRun.Add(1)
 		sp := tr.StartSpan(t.run.name, rank, w+1)
 		t.run.exec(w, int(t.i))
 		sp.End()
 		done := time.Now()
 		p.busyNS.Add(done.Sub(grabbed).Nanoseconds())
-		p.tasksRun.Add(1)
 		idleStart = done
 	}
 }
