@@ -135,4 +135,4 @@ verify-short:
 
 # Replay the checked-in fuzz seed corpora without fuzzing new inputs.
 fuzz-seed:
-	$(GO) test -run 'Fuzz' ./internal/compress ./internal/dump ./internal/transport ./internal/service
+	$(GO) test -run 'Fuzz' ./internal/compress ./internal/dump ./internal/transport ./internal/service ./internal/checkpoint

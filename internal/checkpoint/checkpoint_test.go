@@ -175,8 +175,8 @@ func TestRestoreIntoDifferentLayout(t *testing.T) {
 	for _, p := range parts {
 		merge(want, p)
 	}
-	if hdr, err := checkpoint.ReadHeader(path); err != nil || hdr.Version != 3 {
-		t.Fatalf("checkpoint header: version %d, %v; want version 3", hdr.Version, err)
+	if hdr, err := checkpoint.ReadHeader(path); err != nil || hdr.Version != 4 {
+		t.Fatalf("checkpoint header: version %d, %v; want version 4", hdr.Version, err)
 	}
 
 	got := make(map[int64][]float32)

@@ -2,10 +2,12 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"compress/flate"
 	"compress/zlib"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -86,7 +88,7 @@ func sameBits(got, want *grid.Grid) error {
 	return nil
 }
 
-// TestCheckpointBytesScheduleIndependent: the per-block segments are
+// TestCheckpointBytesScheduleIndependent: the per-block v4 segments are
 // slotted by block ordinal, so the file is byte-identical whether the
 // blocks deflate serially or on pools of 1, 2 and 4 racing workers, and
 // it restores bitwise on a pool.
@@ -116,8 +118,10 @@ func TestCheckpointBytesScheduleIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Version != 3 || len(hdr.Segments) != 1 || len(hdr.Segments[0]) != len(g.Blocks) {
-		t.Fatalf("header version %d with segment tables %v, want v3 with %d segments", hdr.Version, hdr.Segments, len(g.Blocks))
+	if hdr.Version != 4 || len(hdr.Segments) != 1 || len(hdr.Segments[0]) != len(g.Blocks) ||
+		len(hdr.CRCs) != 1 || len(hdr.CRCs[0]) != len(g.Blocks) {
+		t.Fatalf("header version %d with segment tables %v and CRC tables %v, want v4 with %d segments and CRCs",
+			hdr.Version, hdr.Segments, hdr.CRCs, len(g.Blocks))
 	}
 	back := grid.New(grid.Desc{N: 8, NBX: 2, NBY: 2, NBZ: 2, H: 0.0625})
 	step, simTime, err := checkpoint.Restore(path, 0, back, poolRunner(3))
@@ -136,7 +140,7 @@ func TestCheckpointBytesScheduleIndependent(t *testing.T) {
 // the JSON header hdr and the payloads back to back. It sets hdr's
 // "offsets" and "sizes" to match, iterating because the offsets' digits
 // change the header length.
-func writeCrafted(t *testing.T, path string, hdr map[string]any, payloads [][]byte) {
+func writeCrafted(t testing.TB, path string, hdr map[string]any, payloads [][]byte) {
 	t.Helper()
 	sizes := make([]int64, len(payloads))
 	for r, p := range payloads {
@@ -177,6 +181,46 @@ func writeCrafted(t *testing.T, path string, hdr map[string]any, payloads [][]by
 	}
 }
 
+// rewrite writes hdr (as ReadHeader returned it, possibly edited) with
+// payload through writeCrafted, which fixes up offsets and sizes.
+func rewrite(t *testing.T, path string, hdr checkpoint.Header, payload []byte) {
+	t.Helper()
+	b, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	writeCrafted(t, path, m, [][]byte{payload})
+}
+
+// planeSegment is the test's own v4 segment encoder: the byte planes of
+// vals (7 values per cell), quantity by quantity, as one raw DEFLATE
+// stream at BestSpeed, with extra appended after the stream, and the
+// CRC32C of the stored bytes.
+func planeSegment(vals []float32, extra ...byte) ([]byte, uint32) {
+	const nq = 7
+	cells := (len(vals) + nq - 1) / nq
+	var planes []byte
+	for q := 0; q < nq; q++ {
+		for k := 0; k < 4; k++ {
+			for c := 0; c < cells; c++ {
+				if i := c*nq + q; i < len(vals) {
+					planes = append(planes, byte(math.Float32bits(vals[i])>>(8*k)))
+				}
+			}
+		}
+	}
+	var out bytes.Buffer
+	fw, _ := flate.NewWriter(&out, flate.BestSpeed)
+	fw.Write(planes)
+	fw.Close()
+	seg := append(out.Bytes(), extra...)
+	return seg, crc32.Checksum(seg, crc32.MakeTable(crc32.Castagnoli))
+}
+
 // deflate returns one zlib stream of the little-endian bytes of vals.
 func deflate(vals []float32) []byte {
 	var out bytes.Buffer
@@ -193,7 +237,8 @@ func deflate(vals []float32) []byte {
 // TestRestoreV2File: version-2 checkpoints — one zlib stream per writer
 // rank, blocks addressed by per-rank id tables — must still restore
 // bitwise. The file is crafted by hand with two writer ranks whose tables
-// list the global 2×2×1 box's blocks out of order.
+// list the global 2×2×1 box's blocks out of order. A payload whose zlib
+// checksum does not match is an error naming the file.
 func TestRestoreV2File(t *testing.T) {
 	const n = 8
 	path := filepath.Join(t.TempDir(), "v2.ckp")
@@ -239,6 +284,87 @@ func TestRestoreV2File(t *testing.T) {
 			}
 		}
 	}
+
+	payloads[1][len(payloads[1])-1] ^= 1 // the Adler-32 trailer
+	writeCrafted(t, path, map[string]any{
+		"version":       2,
+		"block_size":    n,
+		"rank_dims":     [3]int{2, 1, 1},
+		"global_blocks": [3]int{2, 2, 1},
+		"blocks":        tables,
+	}, payloads)
+	if _, _, err := checkpoint.Restore(path, 0, g, nil); err == nil || !strings.Contains(err.Error(), path+": rank 1 payload") {
+		t.Fatalf("v2 payload with a bad checksum: error %v, want one naming the file and rank 1's payload", err)
+	}
+}
+
+// TestRestoreV3File: version-3 checkpoints — one zlib segment of
+// interleaved little-endian values per block, per-rank segment-size
+// tables, no CRCs — must still restore bitwise, on a pool. The file is
+// crafted by hand with two writer ranks whose tables list the global
+// 2×2×1 box's blocks out of order; a trailing byte after one segment's
+// stream is an error naming that block.
+func TestRestoreV3File(t *testing.T) {
+	const n = 8
+	dir := t.TempDir()
+	per := n * n * n * 7
+	blockVal := func(id int64, i int) float32 {
+		return math.Float32frombits(uint32(id)<<28 ^ uint32(i)*2654435761)
+	}
+	tables := [][]int64{{3, 0}, {1, 2}}
+	craft := func(name string, extra []byte) string {
+		path := filepath.Join(dir, name)
+		payloads := make([][]byte, len(tables))
+		sizes := make([][]int64, len(tables))
+		for r, tbl := range tables {
+			for _, id := range tbl {
+				vals := make([]float32, per)
+				for i := range vals {
+					vals[i] = blockVal(id, i)
+				}
+				seg := deflate(vals)
+				if id == 2 {
+					seg = append(seg, extra...)
+				}
+				payloads[r] = append(payloads[r], seg...)
+				sizes[r] = append(sizes[r], int64(len(seg)))
+			}
+		}
+		writeCrafted(t, path, map[string]any{
+			"version":       3,
+			"block_size":    n,
+			"rank_dims":     [3]int{2, 1, 1},
+			"global_blocks": [3]int{2, 2, 1},
+			"blocks":        tables,
+			"segments":      sizes,
+			"step":          9,
+			"time":          0.75,
+		}, payloads)
+		return path
+	}
+
+	g := grid.New(grid.Desc{N: n, NBX: 2, NBY: 2, NBZ: 1, H: 0.125})
+	step, simTime, err := checkpoint.Restore(craft("v3.ckp", nil), 0, g, poolRunner(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if step != 9 || simTime != 0.75 {
+		t.Errorf("restored (step, time) = (%d, %v), want (9, 0.75)", step, simTime)
+	}
+	for _, b := range g.Blocks {
+		id := int64(b.Y*2 + b.X)
+		for i, v := range b.Data {
+			if got, want := math.Float32bits(v), math.Float32bits(blockVal(id, i)); got != want {
+				t.Fatalf("block %d elem %d: %#x, want %#x", id, i, got, want)
+			}
+		}
+	}
+
+	path := craft("trailing.ckp", []byte{0})
+	_, _, err = checkpoint.Restore(path, 0, g, poolRunner(2))
+	if want := path + ": block 2: 1 bytes after the segment's stream"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v3 segment with a trailing byte: error %v, want one containing %q", err, want)
+	}
 }
 
 // restoreErr restores path into a fresh grid of seededGrid's geometry and
@@ -255,10 +381,11 @@ func restoreErr(t *testing.T, path string) (err error) {
 	return err
 }
 
-// TestRestoreV3Corrupt: a v3 file truncated at seeded offsets, or with one
-// byte of a segment flipped, must fail to restore with an error — naming
-// the file, and the block once the header is intact — and never panic.
-func TestRestoreV3Corrupt(t *testing.T) {
+// TestRestoreV4Corrupt: a v4 file truncated at seeded offsets, with one
+// byte of a segment flipped, or with one bit of a segment's CRC or size
+// entry flipped, must fail to restore with an error — naming the file, and
+// the damaged block once the header is intact — and never panic.
+func TestRestoreV4Corrupt(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.ckp")
 	writeSerial(t, good, seededGrid(11), nil)
@@ -298,6 +425,13 @@ func TestRestoreV3Corrupt(t *testing.T) {
 		}
 	}
 
+	wantBlock := func(what string, k int, err error) {
+		t.Helper()
+		want := fmt.Sprintf("%s: block %d:", path, hdr.Blocks[0][k])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s of segment %d: error %v, want one containing %q", what, k, err, want)
+		}
+	}
 	for i := 0; i < 16; i++ {
 		k := rng.Intn(len(hdr.Segments[0]))
 		start := payload
@@ -310,19 +444,32 @@ func TestRestoreV3Corrupt(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := restoreErr(t, path)
-		want := fmt.Sprintf("%s: block %d:", path, hdr.Blocks[0][k])
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("byte %d flipped in segment %d: error %v, want one containing %q", pos, k, err, want)
-		}
+		wantBlock(fmt.Sprintf("byte %d flipped", pos), k, restoreErr(t, path))
+	}
+
+	body := data[payload:]
+	for i := 0; i < 8; i++ {
+		k := rng.Intn(len(hdr.Segments[0]))
+		bad := hdr
+		bad.CRCs = [][]uint32{slices.Clone(hdr.CRCs[0])}
+		bad.CRCs[0][k] ^= 1 << rng.Intn(32)
+		rewrite(t, path, bad, body)
+		wantBlock("CRC entry flipped", k, restoreErr(t, path))
+
+		bad = hdr
+		bad.Segments = [][]int64{slices.Clone(hdr.Segments[0])}
+		bad.Segments[0][k] ^= 1 << rng.Intn(20)
+		rewrite(t, path, bad, body)
+		wantBlock("size entry flipped", k, restoreErr(t, path))
 	}
 }
 
-// TestRestoreV3SegmentTables: the segment tables are checked before any
-// segment is read — a table shorter than its block table and a segment
-// running past the file are errors — and a segment must inflate to exactly
-// one block.
-func TestRestoreV3SegmentTables(t *testing.T) {
+// TestRestoreV4SegmentTables: the segment tables are checked before any
+// segment is read — a size or CRC table shorter than its block table is an
+// error — a segment running past the file is an error naming its block, a
+// segment whose CRC holds must still inflate to exactly one block and end
+// where its stream ends, and a rank's segments must fill its payload.
+func TestRestoreV4SegmentTables(t *testing.T) {
 	const n = 8
 	per := n * n * n * 7
 	dir := t.TempDir()
@@ -333,19 +480,20 @@ func TestRestoreV3SegmentTables(t *testing.T) {
 		}
 		return vals
 	}
-	craft := func(name string, segs [][]byte, sizes []int64) string {
+	craft := func(name string, segs [][]byte, sizes []int64, crcs []uint32) string {
 		path := filepath.Join(dir, name)
 		var payload []byte
 		for _, s := range segs {
 			payload = append(payload, s...)
 		}
 		writeCrafted(t, path, map[string]any{
-			"version":       3,
+			"version":       4,
 			"block_size":    n,
 			"rank_dims":     [3]int{1, 1, 1},
 			"global_blocks": [3]int{2, 1, 1},
 			"blocks":        [][]int64{{0, 1}},
 			"segments":      [][]int64{sizes},
+			"crcs":          [][]uint32{crcs},
 		}, [][]byte{payload})
 		return path
 	}
@@ -354,33 +502,48 @@ func TestRestoreV3SegmentTables(t *testing.T) {
 		_, _, err := checkpoint.Restore(path, 0, g, nil)
 		return err
 	}
-	seg0 := deflate(block(1))
-	size0 := int64(len(seg0))
+	seg0, crc0 := planeSegment(block(1))
+	seg1, crc1 := planeSegment(block(2))
+	size0, size1 := int64(len(seg0)), int64(len(seg1))
+	short, shortCRC := planeSegment(block(2)[:per-1])
+	long, longCRC := planeSegment(append(block(2), 0))
+	trailing, trailingCRC := planeSegment(block(2), 0)
 	cases := []struct {
 		name  string
-		segs  [][]byte
+		seg1  []byte
 		sizes []int64
+		crcs  []uint32
 		want  string
 	}{
-		{"short_table", [][]byte{seg0, deflate(block(2))}, []int64{size0}, "1 segment sizes for 2 blocks"},
-		{"past_file", [][]byte{seg0, deflate(block(2))}, []int64{size0, 1 << 40}, "block 1: segment of 1099511627776 bytes"},
-		{"short_block", [][]byte{seg0, deflate(block(2)[:per-1])}, nil, "block 1: segment inflates to fewer than"},
-		{"long_block", [][]byte{seg0, deflate(append(block(2), 0))}, nil, "block 1: segment inflates to more than"},
-		{"trailing", [][]byte{seg0, append(deflate(block(2)), 0)}, nil, "block 1: 1 bytes after the segment's zlib stream"},
+		{"short_table", seg1, []int64{size0}, []uint32{crc0, crc1}, "1 segment sizes for 2 blocks"},
+		{"short_crcs", seg1, nil, []uint32{crc0}, "1 segment CRCs for 2 blocks"},
+		{"past_file", seg1, []int64{size0, 1 << 40}, []uint32{crc0, crc1}, "block 1: segment of 1099511627776 bytes outside"},
+		{"bad_crc", seg1, nil, []uint32{crc0, crc1 ^ 1}, "block 1: segment CRC32C"},
+		{"short_block", short, nil, []uint32{crc0, shortCRC}, "block 1: segment inflates to fewer than"},
+		{"long_block", long, nil, []uint32{crc0, longCRC}, "block 1: segment inflates to more than"},
+		{"trailing", trailing, nil, []uint32{crc0, trailingCRC}, "block 1: 1 bytes after the segment's stream"},
+		{"unfilled", append(slices.Clone(seg1), 0), []int64{size0, size1}, []uint32{crc0, crc1}, "rank 0 segments do not fill its"},
 	}
 	for _, tc := range cases {
 		sizes := tc.sizes
 		if sizes == nil {
-			sizes = []int64{size0, int64(len(tc.segs[1]))}
+			sizes = []int64{size0, int64(len(tc.seg1))}
 		}
-		err := restore(craft(tc.name+".ckp", tc.segs, sizes))
+		err := restore(craft(tc.name+".ckp", [][]byte{seg0, tc.seg1}, sizes, tc.crcs))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
-	// The same file with consistent tables restores.
-	path := craft("ok.ckp", [][]byte{seg0, deflate(block(2))}, []int64{size0, int64(len(deflate(block(2))))})
-	if err := restore(path); err != nil {
+	// The same file with consistent tables restores, from the test's own
+	// plane encoder.
+	g := grid.New(grid.Desc{N: n, NBX: 2, NBY: 1, NBZ: 1, H: 0.125})
+	path := craft("ok.ckp", [][]byte{seg0, seg1}, []int64{size0, size1}, []uint32{crc0, crc1})
+	if _, _, err := checkpoint.Restore(path, 0, g, nil); err != nil {
 		t.Fatal(err)
+	}
+	for bi, b := range g.Blocks {
+		if !slices.Equal(b.Data, block(float32(bi+1))) {
+			t.Fatalf("block %d differs from the encoded values", bi)
+		}
 	}
 }

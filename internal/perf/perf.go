@@ -23,10 +23,12 @@ type Sample struct {
 }
 
 // Kernel accumulates samples for one named compute kernel (RHS, DT, UP, ...).
+// It keeps running totals, not the samples, so recording allocates nothing
+// and Stats costs the same after any number of steps.
 type Kernel struct {
-	mu      sync.Mutex
-	name    string
-	samples []Sample
+	mu   sync.Mutex
+	name string
+	st   Stats // Name unset; Stats fills it in
 }
 
 // Name returns the kernel's name.
@@ -35,7 +37,17 @@ func (k *Kernel) Name() string { return k.name }
 // Record adds one sample.
 func (k *Kernel) Record(s Sample) {
 	k.mu.Lock()
-	k.samples = append(k.samples, s)
+	st := &k.st
+	if st.N == 0 || s.Duration < st.Min {
+		st.Min = s.Duration
+	}
+	if s.Duration > st.Max {
+		st.Max = s.Duration
+	}
+	st.N++
+	st.Total += s.Duration
+	st.TotalFLOP += s.FLOPs
+	st.TotalByte += s.Bytes
 	k.mu.Unlock()
 }
 
@@ -81,33 +93,21 @@ func (s Stats) Imbalance() float64 {
 	return (s.Max.Seconds() - s.Min.Seconds()) / avg
 }
 
-// Stats computes the summary of all recorded samples. With zero samples
-// every field is zero — Min and Max in particular never carry garbage.
+// Stats returns the summary of all recorded samples. With zero samples
+// every field but Name is zero — Min and Max in particular never carry
+// garbage.
 func (k *Kernel) Stats() Stats {
 	k.mu.Lock()
-	defer k.mu.Unlock()
-	st := Stats{Name: k.name, N: len(k.samples)}
-	if len(k.samples) == 0 {
-		return st
-	}
-	for i, s := range k.samples {
-		st.Total += s.Duration
-		st.TotalFLOP += s.FLOPs
-		st.TotalByte += s.Bytes
-		if i == 0 || s.Duration < st.Min {
-			st.Min = s.Duration
-		}
-		if s.Duration > st.Max {
-			st.Max = s.Duration
-		}
-	}
+	st := k.st
+	k.mu.Unlock()
+	st.Name = k.name
 	return st
 }
 
 // Reset discards all samples.
 func (k *Kernel) Reset() {
 	k.mu.Lock()
-	k.samples = k.samples[:0]
+	k.st = Stats{}
 	k.mu.Unlock()
 }
 

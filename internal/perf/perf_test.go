@@ -2,6 +2,7 @@ package perf
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -103,5 +104,52 @@ func TestRecordSince(t *testing.T) {
 	}
 	if st.TotalFLOP != 100 || st.TotalByte != 10 {
 		t.Errorf("counts: %+v", st)
+	}
+}
+
+// TestRunningStatsMatchReference: the running totals agree with a summary
+// recomputed from a seeded sequence of samples, Min, Max and Imbalance
+// included, before and after a Reset.
+func TestRunningStatsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	k := &Kernel{name: "K"}
+	for round := 0; round < 2; round++ {
+		var samples []Sample
+		for i := 0; i < 1000; i++ {
+			s := Sample{
+				Duration: time.Duration(1 + rng.Int63n(int64(time.Second))),
+				FLOPs:    rng.Int63n(1 << 30),
+				Bytes:    rng.Int63n(1 << 28),
+			}
+			samples = append(samples, s)
+			k.Record(s)
+		}
+		want := Stats{Name: "K", N: len(samples), Min: samples[0].Duration, Max: samples[0].Duration}
+		for _, s := range samples {
+			want.Total += s.Duration
+			want.TotalFLOP += s.FLOPs
+			want.TotalByte += s.Bytes
+			want.Min = min(want.Min, s.Duration)
+			want.Max = max(want.Max, s.Duration)
+		}
+		got := k.Stats()
+		if got != want {
+			t.Fatalf("round %d: Stats() = %+v, want %+v", round, got, want)
+		}
+		if got.Imbalance() != want.Imbalance() || got.Imbalance() <= 0 {
+			t.Fatalf("round %d: Imbalance %g, want %g", round, got.Imbalance(), want.Imbalance())
+		}
+		k.Reset()
+		if st := k.Stats(); st != (Stats{Name: "K"}) {
+			t.Fatalf("after Reset: %+v", st)
+		}
+	}
+}
+
+func TestRecordAllocatesNothing(t *testing.T) {
+	k := &Kernel{name: "K"}
+	s := Sample{Duration: time.Millisecond, FLOPs: 3, Bytes: 4}
+	if n := testing.AllocsPerRun(1000, func() { k.Record(s) }); n != 0 {
+		t.Fatalf("Record allocates %v times per call, want 0", n)
 	}
 }

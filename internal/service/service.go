@@ -391,12 +391,47 @@ func (s *Service) snapshotQueue() error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+	if err := writeFileAtomic(path, append(b, '\n')); err != nil {
 		return fmt.Errorf("service: queue snapshot: %w", err)
 	}
 	s.cfg.Logf("service: snapshotted %d queued + %d drained jobs to %s",
 		len(snap.Specs), len(snap.Resume), path)
 	return nil
+}
+
+// writeFileAtomic replaces path with data so that a crash leaves either the
+// previous file or the new one, never a torn mix: it writes path+".tmp",
+// fsyncs it, renames it into place and fsyncs the directory. A temp file a
+// killed predecessor left behind is truncated and reused.
+func writeFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func fileExists(path string) bool {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -383,6 +385,84 @@ func TestDrainRequeue(t *testing.T) {
 	waitTerminal(t, resumed, 30*time.Second)
 	if _, err := os.Stat(filepath.Join(dir, "queue.json")); !os.IsNotExist(err) {
 		t.Fatalf("queue snapshot not consumed: %v", err)
+	}
+}
+
+// queueOneBehindRunning submits a long job, waits until it runs on the
+// service's single worker and queues a short one behind it, so a drain has
+// both a running job to resume and a queued spec to snapshot.
+func queueOneBehindRunning(t *testing.T, s *Service) {
+	t.Helper()
+	running, _, err := s.Submit(slowSpec("alice", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, running, StateRunning, 15*time.Second)
+	if _, _, err := s.Submit(fastSpec("bob", "")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQueueSnapshotWriteFailureKeepsPrevious: the drain snapshot goes
+// through a temp file, so when that write fails — here a directory sits at
+// the temp path — the previous queue.json stays byte-identical.
+func TestQueueSnapshotWriteFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestService(t, Config{Workers: 1, DataDir: dir})
+	queueOneBehindRunning(t, s)
+	path := filepath.Join(dir, "queue.json")
+	prev := []byte(`{"specs":[]}` + "\n")
+	if err := os.WriteFile(path, prev, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path+".tmp", "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err == nil || !strings.Contains(err.Error(), "queue snapshot") {
+		t.Fatalf("drain with a directory at the temp path: error %v, want a queue snapshot error", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, prev) {
+		t.Fatalf("queue.json changed by the failed snapshot: %q, want %q", got, prev)
+	}
+}
+
+// TestQueueSnapshotStaleTemp: a temp file a killed predecessor left behind
+// is not a snapshot — the next start requeues nothing from it — and the
+// next drain overwrites it and renames it into place.
+func TestQueueSnapshotStaleTemp(t *testing.T) {
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, "queue.json.tmp")
+	staleSpec := fastSpec("mallory", "stale")
+	stale, _ := json.Marshal(queueSnapshot{Specs: []JobSpec{staleSpec}})
+	if err := os.WriteFile(tmp, stale[:len(stale)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestService(t, Config{Workers: 1, DataDir: dir})
+	if _, ok := s.Job(staleSpec.ID()); ok || s.Stuck() != 0 {
+		t.Fatalf("stale temp file requeued jobs (%d stuck)", s.Stuck())
+	}
+	queueOneBehindRunning(t, s)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("temp file still present after the snapshot: %v", err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "queue.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap queueSnapshot
+	if err := json.Unmarshal(b, &snap); err != nil || len(snap.Specs) != 1 || len(snap.Resume) != 1 {
+		t.Fatalf("snapshot %s (err %v), want 1 queued spec and 1 resume entry", b, err)
 	}
 }
 

@@ -442,9 +442,12 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 					r.Mon.Export(reg, tel.PeakGFLOPS)
 				}
 				if stepLog != nil {
+					// A step log implies telemetry, so the imbalance
+					// was measured this step.
+					imbalance := info.Imbalance
 					rec := telemetry.StepRecord{
 						Step: info.Step, Time: info.Time, DT: info.DT,
-						WallMS: info.WallMS, Imbalance: info.Imbalance,
+						WallMS: info.WallMS, Imbalance: &imbalance,
 						DumpRates: info.DumpRates, DumpMBps: info.DumpMBps,
 						KernelMS: map[string]float64{},
 					}
@@ -465,10 +468,10 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 					if info.HasTotals {
 						rec.HasTotals = true
 						rec.TotalMass = info.Totals.Mass
-						rec.TotalMom = [3]float64{info.Totals.MomX, info.Totals.MomY, info.Totals.MomZ}
+						rec.TotalMom = &[3]float64{info.Totals.MomX, info.Totals.MomY, info.Totals.MomZ}
 						rec.TotalEnergy = info.Totals.Energy
-						rec.GammaRange = [2]float64{info.Totals.GammaMin, info.Totals.GammaMax}
-						rec.PiRange = [2]float64{info.Totals.PiMin, info.Totals.PiMax}
+						rec.GammaRange = &[2]float64{info.Totals.GammaMin, info.Totals.GammaMax}
+						rec.PiRange = &[2]float64{info.Totals.PiMin, info.Totals.PiMax}
 						rec.NonFinite = info.Totals.NonFinite
 					}
 					if err := stepLog.Log(rec); err != nil {

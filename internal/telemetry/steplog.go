@@ -17,8 +17,9 @@ type StepRecord struct {
 	// KernelMS is the wall-clock time each kernel spent during this step
 	// (rank 0), in milliseconds.
 	KernelMS map[string]float64 `json:"kernel_ms,omitempty"`
-	// Imbalance is the cross-rank step-time statistic (tmax-tmin)/tavg.
-	Imbalance float64 `json:"imbalance,omitempty"`
+	// Imbalance is the cross-rank step-time statistic (tmax-tmin)/tavg,
+	// set whenever it was measured, an exact 0 included.
+	Imbalance *float64 `json:"imbalance,omitempty"`
 	// DumpRates maps dumped quantity to its compression rate (raw:encoded).
 	DumpRates map[string]float64 `json:"dump_rates,omitempty"`
 	// DumpMBps is the encoded dump bitrate in MB/s when this step dumped.
@@ -33,13 +34,15 @@ type StepRecord struct {
 
 	// Conservation-audit totals (∫dV of the conserved quantities), present
 	// on AuditEvery steps; the verification subsystem tracks their drift.
-	HasTotals   bool       `json:"has_totals,omitempty"`
-	TotalMass   float64    `json:"total_mass,omitempty"`
-	TotalMom    [3]float64 `json:"total_momentum,omitempty"`
-	TotalEnergy float64    `json:"total_energy,omitempty"`
-	GammaRange  [2]float64 `json:"gamma_range,omitempty"`
-	PiRange     [2]float64 `json:"pi_range,omitempty"`
-	NonFinite   int        `json:"non_finite,omitempty"`
+	// The arrays are pointers because encoding/json never omits an array:
+	// they are nil, and absent from the line, on steps without an audit.
+	HasTotals   bool        `json:"has_totals,omitempty"`
+	TotalMass   float64     `json:"total_mass,omitempty"`
+	TotalMom    *[3]float64 `json:"total_momentum,omitempty"`
+	TotalEnergy float64     `json:"total_energy,omitempty"`
+	GammaRange  *[2]float64 `json:"gamma_range,omitempty"`
+	PiRange     *[2]float64 `json:"pi_range,omitempty"`
+	NonFinite   int         `json:"non_finite,omitempty"`
 }
 
 // StepLogger writes StepRecords as JSON Lines. A nil *StepLogger discards
